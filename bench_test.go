@@ -124,69 +124,6 @@ func BenchmarkTable5Tailoring(b *testing.B) {
 	}
 }
 
-// BenchmarkTable5Parallel is the concurrency axis of the Table 5 solve:
-// the same tailored ILP-PTAC models solved with the branch & bound worker
-// pool at the machine's full width. The timed loop is the parallel solve;
-// a sequential (Workers=1) baseline is measured outside the timer in the
-// same process and reported as speedup_x = sequential ns/op ÷ parallel
-// ns/op, so the trajectory records how much the extra cores actually buy
-// on the minting machine (the metric gates higher-is-better in
-// scripts/benchgate; run with -cpu 1,2,4 for the full matrix). The bound
-// must be identical either way — that is the solver's determinism
-// contract, and the benchmark fails if it drifts.
-func BenchmarkTable5Parallel(b *testing.B) {
-	for _, sc := range []core.Scenario{core.Scenario1(), core.Scenario2()} {
-		b.Run(sc.Name, func(b *testing.B) {
-			// Read GOMAXPROCS inside the leaf: -cpu re-runs the leaf at
-			// each width, and the outer function's value would be stale.
-			workers := runtime.GOMAXPROCS(0)
-			a, c := benchReadings(100)
-			if sc.CacheableDataFloor {
-				a.DMC, c.DMC = 500, 300
-			}
-			in := core.Input{A: a, B: []dsu.Readings{c}, Lat: &benchLat, Scenario: sc}
-
-			// Sequential baseline, outside the timer: enough iterations
-			// to steady the measurement without dominating the run.
-			seqIters := b.N
-			if seqIters > 8 {
-				seqIters = 8
-			}
-			var seqEst core.Estimate
-			seqStart := time.Now()
-			for i := 0; i < seqIters; i++ {
-				var err error
-				seqEst, err = core.ILPPTAC(in, core.PTACOptions{SolverWorkers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			seqNs := float64(time.Since(seqStart).Nanoseconds()) / float64(seqIters)
-
-			var est core.Estimate
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				est, err = core.ILPPTAC(in, core.PTACOptions{SolverWorkers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if est.ContentionCycles != seqEst.ContentionCycles {
-				b.Fatalf("parallel bound %d != sequential bound %d — determinism contract broken",
-					est.ContentionCycles, seqEst.ContentionCycles)
-			}
-			parNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if parNs > 0 {
-				b.ReportMetric(seqNs/parNs, "speedup_x")
-			}
-			b.ReportMetric(float64(workers), "workers")
-			b.ReportMetric(float64(est.ContentionCycles), "bound_cycles")
-		})
-	}
-}
-
 // BenchmarkTable6Counters regenerates Table 6: the debug-counter readings
 // of the application and the H-Load contender under both scenarios.
 func BenchmarkTable6Counters(b *testing.B) {
@@ -494,6 +431,28 @@ func shutdownAfter(b *testing.B, srv *service.Server) {
 	})
 }
 
+// benchClient returns a client on its own http.Transport whose idle pool
+// keeps one connection per concurrent client goroutine, so a serving
+// benchmark reuses its connections instead of measuring TCP dials.
+func benchClient(b *testing.B, clients int) *http.Client {
+	tr := &http.Transport{MaxIdleConns: clients, MaxIdleConnsPerHost: clients}
+	b.Cleanup(tr.CloseIdleConnections)
+	return &http.Client{Transport: tr}
+}
+
+// postDrained POSTs a JSON body and reads the response to EOF before
+// closing it: an undrained body cannot go back to the idle pool, so the
+// next request would dial a fresh connection.
+func postDrained(c *http.Client, url string, body []byte) (int, error) {
+	resp, err := c.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
+}
+
 // BenchmarkWCETServiceBatch drives the wcetd serving layer end to end:
 // concurrent 16-request batches, drawn from a small pool of distinct
 // queries, against one server — the OEM integration stream the service
@@ -520,20 +479,20 @@ func BenchmarkWCETServiceBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	client := benchClient(b, runtime.GOMAXPROCS(0))
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+			status, err := postDrained(client, ts.URL+"/v1/batch", body)
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			if resp.StatusCode != http.StatusOK {
-				b.Errorf("status %d", resp.StatusCode)
+			if status != http.StatusOK {
+				b.Errorf("status %d", status)
 			}
-			resp.Body.Close()
 		}
 	})
 	b.StopTimer()
@@ -569,26 +528,24 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	client := benchClient(b, runtime.GOMAXPROCS(0))
 	// Prime the cache: exactly one miss, everything timed below is a hit.
-	resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
-	if err != nil {
+	if _, err := postDrained(client, ts.URL+"/v1/wcet", body); err != nil {
 		b.Fatal(err)
 	}
-	resp.Body.Close()
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
+			status, err := postDrained(client, ts.URL+"/v1/wcet", body)
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			if resp.StatusCode != http.StatusOK {
-				b.Errorf("status %d", resp.StatusCode)
+			if status != http.StatusOK {
+				b.Errorf("status %d", status)
 			}
-			resp.Body.Close()
 		}
 	})
 	b.StopTimer()
@@ -742,11 +699,7 @@ func BenchmarkCampaignJob(b *testing.B) {
 // eviction, shard routing) and the solver pool under contention, not
 // just shard reads.
 func BenchmarkServeSaturated(b *testing.B) {
-	srv := service.New(benchServeConfig(b, service.Config{
-		MaxInFlight:   256,
-		QueueDepth:    1024,
-		SolverWorkers: runtime.GOMAXPROCS(0),
-	}), nil)
+	srv := service.New(benchServeConfig(b, service.Config{MaxInFlight: 256, QueueDepth: 1024}), nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	shutdownAfter(b, srv)
@@ -767,22 +720,23 @@ func BenchmarkServeSaturated(b *testing.B) {
 		}
 	}
 
+	const parallelism = 4 // 4× GOMAXPROCS client goroutines
+	client := benchClient(b, parallelism*runtime.GOMAXPROCS(0))
 	var seq atomic.Int64
 	b.ReportAllocs()
-	b.SetParallelism(4) // 4× GOMAXPROCS client goroutines
+	b.SetParallelism(parallelism)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			body := bodies[int(seq.Add(1))%pool]
-			resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader(body))
+			status, err := postDrained(client, ts.URL+"/v1/wcet", body)
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			if resp.StatusCode != http.StatusOK {
-				b.Errorf("status %d", resp.StatusCode)
+			if status != http.StatusOK {
+				b.Errorf("status %d", status)
 			}
-			resp.Body.Close()
 		}
 	})
 	b.StopTimer()

@@ -138,6 +138,46 @@ func TestNodeLimit(t *testing.T) {
 	if _, err := p.Solve(Options{MaxNodes: 1}); !errors.Is(err, ErrNodeLimit) {
 		t.Errorf("err = %v, want ErrNodeLimit", err)
 	}
+
+	// The limit also trips mid-search: the plateau cannot close in 4 nodes.
+	p2, _ := plateauProblem(6, 7)
+	if _, err := p2.Solve(Options{MaxNodes: 4}); !errors.Is(err, ErrNodeLimit) {
+		t.Errorf("plateau: err = %v, want ErrNodeLimit", err)
+	}
+}
+
+// plateauProblem builds a deliberately symmetric instance — maximize
+// sum(x) under sum(2x) <= 2k+1 — whose optimum k is attained by many
+// vectors, so exact search has a wide equal-objective plateau to drain.
+func plateauProblem(n, k int) (*Problem, []Var) {
+	p := New()
+	vars := make([]Var, n)
+	terms := make([]Term, n)
+	for j := range vars {
+		vars[j] = p.AddInt(string(rune('a'+j)), 0, float64(k))
+		p.SetObjective(vars[j], 1)
+		terms[j] = Term{vars[j], 2}
+	}
+	p.Add(terms, LE, float64(2*k+1))
+	return p, vars
+}
+
+// TestGapUpperBound: a gap-stopped search must still report a sound
+// proved bound — floor(rootBound) for an integral objective.
+func TestGapUpperBound(t *testing.T) {
+	const n, k = 6, 7
+	p, _ := plateauProblem(n, k)
+	sol, err := p.Solve(Options{Gap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Objective != float64(k) {
+		t.Fatalf("objective %g, want %d", sol.Objective, k)
+	}
+	// Root LP bound is k+0.5; the floored proof is exactly k.
+	if sol.UpperBound != float64(k) {
+		t.Fatalf("upper bound %g, want %d", sol.UpperBound, k)
+	}
 }
 
 func TestPanics(t *testing.T) {

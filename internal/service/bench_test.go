@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 )
 
@@ -15,7 +17,7 @@ import (
 // bar for duplicate provider submissions — it must be sub-microsecond
 // (it is a sharded map lookup plus a CLOCK ref-bit set).
 func BenchmarkCacheHit(b *testing.B) {
-	s := New(Config{}, nil)
+	s := newServer(b, Config{})
 	req := sampleRequest(0)
 	key := CanonicalKey(req)
 	if _, err := s.lookupOrCompute(context.Background(), key, func(ctx context.Context) (*cached, error) { return s.evaluateEncoded(ctx, req, s.servingID()) }); err != nil {
@@ -39,7 +41,7 @@ func BenchmarkCacheHit(b *testing.B) {
 // BenchmarkCacheHit: the full duplicate-query cost including JSON decode
 // and canonicalization, without HTTP transport.
 func BenchmarkDuplicateRequestEndToEnd(b *testing.B) {
-	s := New(Config{}, nil)
+	s := newServer(b, Config{})
 	req := sampleRequest(0)
 	body := encodeRequest(b, req)
 	if _, err := s.lookupOrCompute(context.Background(), CanonicalKey(req), func(ctx context.Context) (*cached, error) { return s.evaluateEncoded(ctx, req, s.servingID()) }); err != nil {
@@ -78,7 +80,7 @@ func BenchmarkColdEvaluate(b *testing.B) {
 func BenchmarkSustainedBatchThroughput(b *testing.B) {
 	const batchSize = 16
 	const uniquePool = 32
-	s := New(Config{MaxInFlight: 256, QueueDepth: 1024}, nil)
+	s := newServer(b, Config{MaxInFlight: 256, QueueDepth: 1024})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -97,6 +99,14 @@ func BenchmarkSustainedBatchThroughput(b *testing.B) {
 		}
 	}
 
+	// One dedicated transport whose idle pool holds a connection per
+	// client goroutine; draining each body lets its connection return to
+	// that pool, so the stream measures the server, not TCP dials.
+	procs := runtime.GOMAXPROCS(0)
+	tr := &http.Transport{MaxIdleConns: procs, MaxIdleConnsPerHost: procs}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -104,7 +114,13 @@ func BenchmarkSustainedBatchThroughput(b *testing.B) {
 		for pb.Next() {
 			body := bodies[i%uniquePool]
 			i++
-			resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+			resp, err := client.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 			if err != nil {
 				b.Error(err)
 				return
@@ -112,7 +128,6 @@ func BenchmarkSustainedBatchThroughput(b *testing.B) {
 			if resp.StatusCode != http.StatusOK {
 				b.Errorf("status %d", resp.StatusCode)
 			}
-			resp.Body.Close()
 		}
 	})
 	b.StopTimer()

@@ -148,10 +148,9 @@ func (sh *cacheShard) lock() {
 	sh.mu.Lock()
 }
 
-// get returns the cached result for key, marking its reference bit. The
-// miss counter is the caller-visible one: singleflight followers that
-// piggyback on an in-flight computation are counted by the server, not
-// here.
+// get returns the cached result for key, marking its reference bit. Every
+// absent key counts a miss here; the server then resolves each miss as an
+// evaluation, a singleflight join or a late hit (see CacheStats).
 func (c *resultCache) get(key string) (*cached, bool) {
 	sh := c.shard(key)
 	sh.lock()

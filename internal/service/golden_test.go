@@ -123,7 +123,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // TestV1GoldenWCET asserts POST /v1/wcet answers byte-identically to the
 // recorded fixtures.
 func TestV1GoldenWCET(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -147,19 +147,21 @@ func TestV1GoldenWCET(t *testing.T) {
 }
 
 // TestV1GoldenParallelWorkers asserts the /v1 wire format is byte-
-// identical when the server solves with a parallel branch & bound
-// (SolverWorkers > 1): the fixtures recorded from sequential solves must
-// match exactly, without ever being rewritten from the parallel run. This
-// is the serving-layer face of the solver's determinism contract — the
-// /v1 bound is the solver's proved upper bound, which is worker-count
-// independent even for gap-stopped searches.
+// identical when every recorded conversation is served at once: one
+// client worker per fixture against a cold server, so the solves run
+// concurrently on the pooled LP solvers and model builders. The bodies
+// are compared against the committed fixtures directly, never rewritten,
+// so -update-golden cannot mask drift introduced by shared solver state.
 func TestV1GoldenParallelWorkers(t *testing.T) {
-	srv := New(Config{SolverWorkers: 8}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	// Cleanup, not defer: the parallel subtests run after this function
+	// returns, and the server must outlive them.
+	t.Cleanup(ts.Close)
 
 	for _, tc := range goldenRequests {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			resp, err := http.Post(ts.URL+"/v1/wcet", "application/json", bytes.NewReader([]byte(tc.body)))
 			if err != nil {
 				t.Fatal(err)
@@ -177,7 +179,7 @@ func TestV1GoldenParallelWorkers(t *testing.T) {
 				t.Fatalf("reading fixture: %v", err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s: parallel solves drifted from the sequential v1 wire format\ngot:\n%s\nwant:\n%s",
+				t.Errorf("%s: concurrent solves drifted from the v1 wire format\ngot:\n%s\nwant:\n%s",
 					tc.name, buf.Bytes(), want)
 			}
 		})
@@ -187,7 +189,7 @@ func TestV1GoldenParallelWorkers(t *testing.T) {
 // TestV1GoldenBatch asserts POST /v1/batch answers byte-identically,
 // per-cell errors included.
 func TestV1GoldenBatch(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -53,6 +53,7 @@ type serverMetrics struct {
 
 	cacheHits       *telemetry.Counter    // wcetd_cache_hits_total
 	cacheMisses     *telemetry.Counter    // wcetd_cache_misses_total
+	cacheLateHits   *telemetry.Counter    // wcetd_cache_late_hits_total
 	cacheEvictions  *telemetry.Counter    // wcetd_cache_evictions_total
 	cacheContention *telemetry.CounterVec // wcetd_cache_shard_contention_total{shard}
 	dedup           *telemetry.Counter    // wcetd_dedup_total
@@ -86,7 +87,9 @@ func newServerMetrics() *serverMetrics {
 		cacheHits: reg.Counter("wcetd_cache_hits_total",
 			"Result-cache hits."),
 		cacheMisses: reg.Counter("wcetd_cache_misses_total",
-			"Result-cache misses (each one schedules an evaluation)."),
+			"Result-cache misses; each resolves as an evaluation, a singleflight join or a late hit."),
+		cacheLateHits: reg.Counter("wcetd_cache_late_hits_total",
+			"Result-cache misses answered by a result an identical request cached after the lookup."),
 		cacheEvictions: reg.Counter("wcetd_cache_evictions_total",
 			"Result-cache evictions (CLOCK second-chance sweep)."),
 		cacheContention: reg.CounterVec("wcetd_cache_shard_contention_total",
@@ -397,6 +400,7 @@ func (s *Server) LogSummary() {
 		slog.Int64("cacheHits", st.Cache.Hits),
 		slog.Int64("cacheMisses", st.Cache.Misses),
 		slog.Int64("dedup", st.Cache.Dedup),
+		slog.Int64("cacheLateHits", st.Cache.LateHits),
 		slog.String("servingTable", st.ServingTable),
 	)
 }

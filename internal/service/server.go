@@ -31,11 +31,6 @@ type Config struct {
 	// CacheEntries caps the canonical-request result cache; <= 0 selects
 	// 1024.
 	CacheEntries int
-	// SolverWorkers is the branch & bound worker count for ILP-based
-	// models; <= 0 selects 1 (sequential solves). Bounds are worker-count
-	// independent, so raising it only trades CPU for latency on large
-	// solves.
-	SolverWorkers int
 	// MaxInFlight is the admission-control concurrency limit: how many
 	// requests may be past admission at once; <= 0 selects 64.
 	MaxInFlight int
@@ -169,16 +164,21 @@ type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-// CacheStats reports the canonical-request cache counters.
+// CacheStats reports the canonical-request cache counters. Every miss is
+// resolved exactly one way, so Misses == evaluations + Dedup + LateHits.
 type CacheStats struct {
 	// Hits counts requests served from the result cache without touching
 	// the models.
 	Hits int64 `json:"hits"`
-	// Misses counts lookups that had to evaluate.
+	// Misses counts admitted lookups that found no cached result.
 	Misses int64 `json:"misses"`
-	// Dedup counts requests that piggybacked on an identical in-flight
-	// evaluation instead of starting their own (counted in Misses too).
-	Dedup     int64 `json:"dedup"`
+	// Dedup counts misses that joined an identical in-flight evaluation
+	// instead of starting their own.
+	Dedup int64 `json:"dedup"`
+	// LateHits counts misses whose result an identical request cached
+	// between the lookup and the in-flight check, so they evaluated
+	// nothing.
+	LateHits  int64 `json:"lateHits"`
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
 	Evictions int64 `json:"evictions"`
@@ -331,9 +331,6 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 		panic(fmt.Sprintf("service: default table ref does not resolve: %v", err))
 	}
 	opts := []wcet.Option{wcet.WithRegistry(reg), wcet.WithConcurrency(1), wcet.WithTableStore(store)}
-	if cfg.SolverWorkers > 1 {
-		opts = append(opts, wcet.WithSolverWorkers(cfg.SolverWorkers))
-	}
 	analyzer, err := wcet.NewAnalyzer(opts...)
 	if err != nil {
 		// The registry lacks the v1 pair — a v2-only deployment. Default
@@ -484,6 +481,7 @@ func (s *Server) StatsSnapshot() Stats {
 			Hits:      m.cacheHits.Value(),
 			Misses:    m.cacheMisses.Value(),
 			Dedup:     m.dedup.Value(),
+			LateHits:  m.cacheLateHits.Value(),
 			Entries:   s.cache.len(),
 			Capacity:  s.cfg.CacheEntries,
 			Evictions: m.cacheEvictions.Value(),
@@ -544,16 +542,22 @@ func (s *Server) lookupOrCompute(ctx context.Context, key string, compute func(c
 	return s.computeMiss(ctx, key, compute)
 }
 
-// computeMiss resolves a request whose miss is already counted: re-check
-// the cache without accounting (an identical request may have landed while
-// this one queued), join an identical in-flight evaluation, or evaluate.
-// ctx bounds only the join wait: an evaluation, once started, runs to
-// completion so its result can be cached for the next asker.
+// computeMiss resolves a request whose miss is already counted: a late
+// hit (an identical request cached its result since the lookup), a join
+// on an identical in-flight evaluation, or an evaluation of its own. The
+// re-check runs under flightMu: a leader caches its result before it
+// deletes its flight under the same lock, so a missing flight here means
+// the result is either cached or not yet being computed, and no body is
+// ever evaluated twice. ctx bounds only the join wait: an evaluation,
+// once started, runs to completion so its result can be cached for the
+// next asker.
 func (s *Server) computeMiss(ctx context.Context, key string, compute func(context.Context) (*cached, error)) (*cached, error) {
+	s.flightMu.Lock()
 	if v, ok := s.cache.peek(key); ok {
+		s.flightMu.Unlock()
+		s.metrics.cacheLateHits.Inc()
 		return v, nil
 	}
-	s.flightMu.Lock()
 	if f, ok := s.flights[key]; ok {
 		s.flightMu.Unlock()
 		s.metrics.dedup.Inc()

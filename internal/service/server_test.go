@@ -15,10 +15,27 @@ import (
 
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(cfg, nil)
+	s := newServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// newServer builds a Server that is shut down when the test ends. Every
+// Server runs a metrics-history sampler; left running, the samplers of
+// earlier tests pile up and slow every later one, most visibly under
+// -race -count=N.
+func newServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s := New(cfg, nil)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	return s
 }
 
 func post(t testing.TB, url string, body []byte) (int, []byte) {
@@ -342,7 +359,7 @@ func TestQueuedRequestTimesOut(t *testing.T) {
 }
 
 func TestAdmitRespectsCancelledContext(t *testing.T) {
-	s := New(Config{}, nil)
+	s := newServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.admit(ctx); err == nil {

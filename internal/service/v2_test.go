@@ -36,7 +36,7 @@ const v2Analysed = `"analysed": {"CCNT": 157800, "PS": 18000, "DS": 27000, "PM":
 // exactly the models it asked for, in request order, labelled with
 // canonical names.
 func TestV2AnalyzeSubset(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -76,7 +76,7 @@ func TestV2AnalyzeSubset(t *testing.T) {
 // registry fold buys: a typo'd model name is a 400 naming the registered
 // set.
 func TestV2UnknownModelListsRegistry(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -103,7 +103,7 @@ func TestV2UnknownModelListsRegistry(t *testing.T) {
 // TestV2TemplatesAndPTACs drives the wire encodings that make the
 // template and ideal models reachable over HTTP.
 func TestV2TemplatesAndPTACs(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -160,7 +160,7 @@ func TestV2TemplatesAndPTACs(t *testing.T) {
 // TestV2RTAAnyModel asserts v2 lifts the v1 restriction: the RTA verdict
 // can ride on any selected model's bound.
 func TestV2RTAAnyModel(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -185,7 +185,7 @@ func TestV2RTAAnyModel(t *testing.T) {
 // model set is rejected pre-admission as a 400 — not after burning a full
 // model fan-out.
 func TestV2RTAModelMustBeSelected(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -274,7 +274,7 @@ func TestCanonicalKeyV2Invariance(t *testing.T) {
 // TestV2DuplicateModelSelection asserts alias-equivalent duplicates in the
 // models list are a 400, not a silently shorter response.
 func TestV2DuplicateModelSelection(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -316,7 +316,7 @@ func TestV2OnlyRegistryServer(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Registry: reg}, nil)
+	srv := newServer(t, Config{Registry: reg})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -340,7 +340,7 @@ func TestV2OnlyRegistryServer(t *testing.T) {
 // TestV2CacheAndAliasCollision asserts identical v2 requests hit the
 // result cache, including when the second spelling uses aliases.
 func TestV2CacheAndAliasCollision(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -363,7 +363,7 @@ func TestV2CacheAndAliasCollision(t *testing.T) {
 
 // TestV2Models asserts the discovery endpoint lists the registry.
 func TestV2Models(t *testing.T) {
-	srv := New(Config{}, nil)
+	srv := newServer(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -399,7 +399,7 @@ func TestV2NewModelZeroEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := New(Config{Registry: reg}, nil)
+	srv := newServer(t, Config{Registry: reg})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
