@@ -12,11 +12,13 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# test also repeats the service package under the race detector: its
-# concurrency tests assert exact counter identities, and a race that
-# breaks one only shows up on some runs.
+# test also vets and tests the perfbench module, which sits outside ./...
+# yet calls the service API, and repeats the service package under the
+# race detector: its concurrency tests assert exact counter identities,
+# and a race that breaks one only shows up on some runs.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -count=20 ./internal/service
 
 race:

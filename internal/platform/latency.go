@@ -1,6 +1,9 @@
 package platform
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Latency holds the timing characterisation of one SRI target for one
 // operation type, as measured in isolation (paper Table 2).
@@ -122,6 +125,27 @@ func (lt *LatencyTable) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Canonical renders the table in its one canonical form: every legal
+// access path in AccessPairs order as "path:max/min/stall;". Two tables
+// have equal renderings iff every model-visible figure is equal, so a hash
+// of it is a sound content address — the table store's IDs and the wcet
+// SDK's estimate-cache keys both use it.
+func (lt *LatencyTable) Canonical() string {
+	b := make([]byte, 0, 128)
+	for _, to := range AccessPairs() {
+		l := lt[to.Target][to.Op]
+		b = append(b, to.String()...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, l.Max, 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, l.Min, 10)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, l.Stall, 10)
+		b = append(b, ';')
+	}
+	return string(b)
 }
 
 // TC27xLatencies returns the latency table of the TC27x as characterised in

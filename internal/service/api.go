@@ -1,8 +1,16 @@
 // Package service is the serving layer over the repro/wcet SDK: the
 // request/response API shared by the cmd/wcet CLI and the cmd/wcetd
-// daemon, request canonicalization and content-addressed result caching,
-// and an HTTP server with admission control that fans batch requests out
-// across the campaign engine's worker pool.
+// daemon, content-addressed result caching, and an HTTP server with
+// admission control that fans batch requests out across the campaign
+// engine's worker pool.
+//
+// There is one request path. Each wire request — a /v1 Request, a /v2
+// V2Request, each /v1/batch item — is validated and lowered in one pass
+// to a wcet.Request, with the server pinning its latency table to a
+// content address. Its result is cached under wcet.Request.Key plus a
+// response-version tag (the package keeps no canonicaliser of its own),
+// evaluated by one function, and rendered by renderV1 or renderV2: the
+// two versions differ in nothing else.
 //
 // The industrial workflow the paper motivates — an OEM integrating tasks
 // from many software providers, each needing contention-aware WCET
@@ -118,43 +126,88 @@ type Response struct {
 // Model-name spellings are resolved against the default registry; a server
 // carrying its own registry validates against that one instead.
 func (r Request) Validate() error {
-	return r.validate(defaultAnalyzer.Registry())
+	_, err := r.prepare(defaultAnalyzer.Registry())
+	return err
 }
 
-// validate is Validate against a specific registry — the same one the
-// evaluation will resolve names through, so accepted spellings cannot
-// drift between admission and evaluation.
-func (r Request) validate(reg *wcet.Registry) error {
-	// Delegate to the same mappers Evaluate uses, so the accepted value
-	// sets cannot drift from what evaluation understands.
-	if _, err := scenario(r.Scenario); err != nil {
-		return err
+// prepare validates the v1 request and lowers it to the SDK form in one
+// pass, against the registry the evaluation will resolve names through. A
+// v1 body is a v2 body with the default model pair and no templates or
+// PTACs, so it goes through V2Request.Prepare; only the RTA rule differs:
+// /v1 computes the ftc and ilpPtac pair alone, and says so.
+func (r Request) prepare(reg *wcet.Registry) (wcet.Request, error) {
+	out, err := V2Request{
+		Scenario:          r.Scenario,
+		Analysed:          r.Analysed,
+		Contenders:        r.Contenders,
+		StallMode:         r.StallMode,
+		DropContenderInfo: r.DropContenderInfo,
+	}.Prepare(reg)
+	if err != nil || r.RTA == nil {
+		return out, err
 	}
-	if _, err := stallMode(r.StallMode); err != nil {
-		return err
+	model, err := rtaModel(reg, r.RTA.Model)
+	if err != nil {
+		return wcet.Request{}, err
 	}
-	if err := r.Analysed.Validate(); err != nil {
-		return fmt.Errorf("analysed readings: %w", err)
+	if out.RTA, err = toRTASpec(model, r.RTA); err != nil {
+		return wcet.Request{}, err
 	}
-	for i, b := range r.Contenders {
-		if err := b.Validate(); err != nil {
-			return fmt.Errorf("contender %d readings: %w", i, err)
+	return out, nil
+}
+
+// tableRef is the v1 table selection: none, /v1 always analyses under the
+// serving table.
+func (r Request) tableRef() string { return "" }
+
+// wireRequest is a decoded analysis request of either API version —
+// Request (/v1) or V2Request (/v2). Both lower to one wcet.Request, the
+// only form the serving path keys and evaluates.
+type wireRequest interface {
+	prepare(reg *wcet.Registry) (wcet.Request, error)
+	// tableRef is the latency-table selection, "" for the serving default.
+	tableRef() string
+}
+
+// CanonicalKey is the result-cache key of a v1 request, names resolved
+// through the default registry: the wcet.Request.Key of its lowered form
+// plus the v1 response tag. wcetd keys the same way with the serving
+// table pinned into the request. It is "" for a request Validate rejects.
+func CanonicalKey(req Request) string {
+	return wireKey(wcet.DefaultRegistry(), req, tagV1)
+}
+
+// wireKey is CanonicalKey and CanonicalKeyV2: lower, key, tag. A table
+// selection is keyed as spelled, unresolved.
+func wireKey[Q wireRequest](reg *wcet.Registry, req Q, tag string) string {
+	sdkReq, err := req.prepare(reg)
+	if err != nil {
+		return ""
+	}
+	sdkReq.TableRef = req.tableRef()
+	key, err := sdkReq.Key(reg)
+	if err != nil {
+		return ""
+	}
+	return key + tag
+}
+
+// toRTASpec lowers the wire RTA block under an already-resolved model. Full
+// task validation (periods, deadlines) happens in rta.Analyze once the
+// analysed WCET is known; here only what cannot depend on it is caught.
+func toRTASpec(model string, r *RTARequest) (*wcet.RTASpec, error) {
+	spec := &wcet.RTASpec{
+		Model:  model,
+		Task:   toRTATask(r.Task),
+		Others: make([]wcet.RTATask, len(r.Others)),
+	}
+	for i, o := range r.Others {
+		if o.WCETCycles <= 0 {
+			return nil, fmt.Errorf("rta.others[%d] (%s): wcetCycles must be positive", i, o.Name)
 		}
+		spec.Others[i] = toRTATask(o)
 	}
-	if r.RTA != nil {
-		if _, err := rtaModel(reg, r.RTA.Model); err != nil {
-			return err
-		}
-		// Full task validation (periods, deadlines) happens in rta.Analyze
-		// once the analysed WCET is known; here we only catch what cannot
-		// depend on it.
-		for i, o := range r.RTA.Others {
-			if o.WCETCycles <= 0 {
-				return fmt.Errorf("rta.others[%d] (%s): wcetCycles must be positive", i, o.Name)
-			}
-		}
-	}
-	return nil
+	return spec, nil
 }
 
 // decodeStrict is the one decode policy for every payload shape the
@@ -234,42 +287,6 @@ func rtaModel(reg *wcet.Registry, s string) (string, error) {
 // characterisation, the frozen v1 model pair.
 var defaultAnalyzer = wcet.MustNewAnalyzer()
 
-// toSDKRequest maps the v1 wire request onto the SDK facade's request,
-// resolving model spellings against the registry that will evaluate it.
-func toSDKRequest(reg *wcet.Registry, req Request) (wcet.Request, error) {
-	sc, err := scenario(req.Scenario)
-	if err != nil {
-		return wcet.Request{}, err
-	}
-	mode, err := stallMode(req.StallMode)
-	if err != nil {
-		return wcet.Request{}, err
-	}
-	out := wcet.Request{
-		Analysed:          req.Analysed,
-		Contenders:        req.Contenders,
-		Scenario:          sc,
-		StallMode:         mode,
-		DropContenderInfo: req.DropContenderInfo,
-		Models:            v1Models[:],
-	}
-	if req.RTA != nil {
-		model, err := rtaModel(reg, req.RTA.Model)
-		if err != nil {
-			return wcet.Request{}, err
-		}
-		out.RTA = &wcet.RTASpec{
-			Model:  model,
-			Task:   toRTATask(req.RTA.Task),
-			Others: make([]wcet.RTATask, len(req.RTA.Others)),
-		}
-		for i, o := range req.RTA.Others {
-			out.RTA.Others[i] = toRTATask(o)
-		}
-	}
-	return out, nil
-}
-
 func toRTATask(t RTATask) wcet.RTATask {
 	return wcet.RTATask{
 		Name:     t.Name,
@@ -283,33 +300,42 @@ func toRTATask(t RTATask) wcet.RTATask {
 // Evaluate runs the frozen v1 pair — the fTC and ILP-PTAC models — and
 // the optional RTA step on one request, through the default SDK analyzer.
 // It is a pure function of the request: the CLI calls it once per process,
-// the daemon calls it per cache miss.
+// the daemon runs the same lowering and evaluation per cache miss.
 func Evaluate(req Request) (*Response, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return evaluateWith(context.Background(), defaultAnalyzer, req, "")
+	return evaluateWire(defaultAnalyzer, req, renderV1)
 }
 
-// evaluateWith is Evaluate against a specific analyzer (a server may carry
-// its own registry) and latency-table version: a non-empty tableRef makes
-// the analyzer resolve that table from its store (the daemon passes the
-// serving table's content address; the CLI passes "" for the analyzer's
-// fixed table). Callers must have validated req — the server does so
-// pre-admission, Evaluate does so on entry — so the miss path does not
-// re-validate. ctx carries trace spans only: evaluation runs to
-// completion even if the request that started it is cancelled, because
+// evaluateWire prepares a wire request against an analyzer's registry and
+// evaluates it — Evaluate and EvaluateV2. A table selection is rejected:
+// only the daemon carries the store that could resolve it.
+func evaluateWire[Q wireRequest, R any](an *wcet.Analyzer, req Q, render func(*wcet.Result) (R, error)) (R, error) {
+	var zero R
+	if req.tableRef() != "" {
+		return zero, fmt.Errorf(`"table" selection requires the daemon's table store (POST the request to wcetd's /v2/analyze)`)
+	}
+	sdkReq, err := req.prepare(an.Registry())
+	if err != nil {
+		return zero, err
+	}
+	return evaluate(context.Background(), an, sdkReq, render)
+}
+
+// evaluate is the one evaluation of the service: run a lowered request
+// through an analyzer and render the result in one wire version. /v1 and
+// /v2 differ only in render. ctx carries trace spans only: evaluation runs
+// to completion even if the request that started it is cancelled, because
 // singleflight followers may still be waiting on the result.
-func evaluateWith(ctx context.Context, an *wcet.Analyzer, req Request, tableRef string) (*Response, error) {
-	sdkReq, err := toSDKRequest(an.Registry(), req)
+func evaluate[R any](ctx context.Context, an *wcet.Analyzer, req wcet.Request, render func(*wcet.Result) (R, error)) (R, error) {
+	res, err := an.Analyze(context.WithoutCancel(ctx), req)
 	if err != nil {
-		return nil, err
+		var zero R
+		return zero, err
 	}
-	sdkReq.TableRef = tableRef
-	res, err := an.Analyze(context.WithoutCancel(ctx), sdkReq)
-	if err != nil {
-		return nil, err
-	}
+	return render(res)
+}
+
+// renderV1 renders a result of the v1 pair in the frozen v1 wire form.
+func renderV1(res *wcet.Result) (*Response, error) {
 	ftcE, ok := res.Estimate("ftc")
 	if !ok {
 		return nil, fmt.Errorf("service: analyzer returned no ftc estimate")
@@ -356,14 +382,19 @@ func toEstimateOut(e wcet.Estimate) EstimateOut {
 
 // RunCLI is cmd/wcet's whole behaviour: decode one request from in,
 // evaluate it, write the response to out. The daemon serves the same
-// three calls per request, which is what keeps the two front-ends
-// byte-identical.
+// decode, evaluation and encoding per request, which is what keeps the two
+// front-ends byte-identical.
 func RunCLI(in io.Reader, out io.Writer) error {
-	req, err := DecodeRequest(in)
-	if err != nil {
+	return runCLI(in, out, Evaluate)
+}
+
+// runCLI is RunCLI and RunCLIV2: strict decode, evaluate, canonical encode.
+func runCLI[Q, R any](in io.Reader, out io.Writer, eval func(Q) (R, error)) error {
+	var req Q
+	if err := decodeStrict(in, &req); err != nil {
 		return err
 	}
-	resp, err := Evaluate(req)
+	resp, err := eval(req)
 	if err != nil {
 		return err
 	}

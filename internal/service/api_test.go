@@ -294,7 +294,7 @@ func TestCacheSharding(t *testing.T) {
 	}
 	touched := map[*cacheShard]bool{}
 	for i := 0; i < 256; i++ {
-		key := hashKey(fmt.Sprintf("req-%d", i))
+		key := CanonicalKey(sampleRequest(i))
 		touched[c.shard(key)] = true
 		c.put(key, &cached{body: []byte(key)})
 	}
@@ -305,7 +305,7 @@ func TestCacheSharding(t *testing.T) {
 		t.Errorf("len = %d, want 256", got)
 	}
 	for i := 0; i < 256; i++ {
-		if _, ok := c.get(hashKey(fmt.Sprintf("req-%d", i))); !ok {
+		if _, ok := c.get(CanonicalKey(sampleRequest(i))); !ok {
 			t.Fatalf("key %d missing", i)
 		}
 	}

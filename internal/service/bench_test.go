@@ -18,15 +18,20 @@ import (
 // (it is a sharded map lookup plus a CLOCK ref-bit set).
 func BenchmarkCacheHit(b *testing.B) {
 	s := newServer(b, Config{})
-	req := sampleRequest(0)
-	key := CanonicalKey(req)
-	if _, err := s.lookupOrCompute(context.Background(), key, func(ctx context.Context) (*cached, error) { return s.evaluateEncoded(ctx, req, s.servingID()) }); err != nil {
+	sdkReq, key, err := lower(s, sampleRequest(0), s.servingID(), tagV1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	compute := func(ctx context.Context) (*cached, error) {
+		return newCached(evaluate(ctx, s.analyzer, sdkReq, renderV1))
+	}
+	if _, err := s.lookupOrCompute(context.Background(), key, compute); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.lookupOrCompute(context.Background(), key, func(ctx context.Context) (*cached, error) { return s.evaluateEncoded(ctx, req, s.servingID()) }); err != nil {
+		if _, err := s.lookupOrCompute(context.Background(), key, compute); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,23 +43,32 @@ func BenchmarkCacheHit(b *testing.B) {
 }
 
 // BenchmarkDuplicateRequestEndToEnd is the honest version of
-// BenchmarkCacheHit: the full duplicate-query cost including JSON decode
-// and canonicalization, without HTTP transport.
+// BenchmarkCacheHit: the full duplicate-query cost including JSON decode,
+// lowering and keying, without HTTP transport.
 func BenchmarkDuplicateRequestEndToEnd(b *testing.B) {
 	s := newServer(b, Config{})
-	req := sampleRequest(0)
-	body := encodeRequest(b, req)
-	if _, err := s.lookupOrCompute(context.Background(), CanonicalKey(req), func(ctx context.Context) (*cached, error) { return s.evaluateEncoded(ctx, req, s.servingID()) }); err != nil {
+	body := encodeRequest(b, sampleRequest(0))
+	serve := func() error {
+		dec, err := DecodeRequest(bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		sdkReq, key, err := lower(s, dec, s.servingID(), tagV1)
+		if err != nil {
+			return err
+		}
+		_, err = s.lookupOrCompute(context.Background(), key, func(ctx context.Context) (*cached, error) {
+			return newCached(evaluate(ctx, s.analyzer, sdkReq, renderV1))
+		})
+		return err
+	}
+	if err := serve(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec, err := DecodeRequest(bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.lookupOrCompute(context.Background(), CanonicalKey(dec), func(ctx context.Context) (*cached, error) { return s.evaluateEncoded(ctx, dec, s.servingID()) }); err != nil {
+		if err := serve(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -121,10 +121,9 @@ func newResultCache(capacity int, hits, misses, evictions *telemetry.Counter, co
 	return c
 }
 
-// shard routes a key by FNV-1a over its prefix. Canonical keys are
-// SHA-256 hex renderings, so the first bytes are uniformly distributed;
-// hashing only the prefix keeps routing O(1) in the key length (table-
-// scoped keys share a long common suffix).
+// shard routes a key by FNV-1a over its prefix. Request keys are SHA-256
+// hex renderings followed by a response-version tag, so the first bytes
+// are uniformly distributed and the shared tag never enters routing.
 func (c *resultCache) shard(key string) *cacheShard {
 	const prefixLen = 16
 	n := len(key)

@@ -11,8 +11,10 @@ import (
 // FuzzV2Prepare checks the /v2/analyze front door is total: arbitrary
 // wire bytes either fail strict decoding, fail Prepare with an error, or
 // prepare into an SDK request — never a panic — and Prepare is
-// deterministic (two calls on the same decoded request agree), which the
-// serving layer's canonical-request cache key depends on.
+// deterministic (two calls on the same decoded request agree). Every
+// prepared request must also key: Key succeeds, is deterministic, and is
+// unchanged when the contenders, templates or contender PTACs arrive in
+// another order — the permutation invariance the result cache relies on.
 func FuzzV2Prepare(f *testing.F) {
 	// Seeds: the golden /v1 conversations (every v1 body is a valid v2
 	// body) plus the v2-only shapes — model selection, templates, exact
@@ -48,6 +50,16 @@ func FuzzV2Prepare(f *testing.F) {
 	f.Add(`{"scenario": 1, "unknownField": 1}`)
 	f.Add(`{"scenario": 1} {"scenario": 2}`)
 	f.Add(`[]`)
+	f.Add(`{
+  "scenario": 2,
+  "models": ["ilpPtac", "templatePtac", "ideal"],
+  "analysed":   {"CCNT": 301000, "PS": 40000, "DS": 51000, "PM": 6100, "DMC": 1200, "DMD": 400},
+  "contenders": [{"CCNT": 500000, "PS": 50000, "DS": 60000, "PM": 8000}, {"CCNT": 220000, "PS": 21000, "DS": 16000, "PM": 2500}],
+  "templates": [{"name": "a", "maxRequests": {"pf0/co": 120}}, {"name": "b", "maxRequests": {"lmu/da": 40}}],
+  "analysedPtac": {},
+  "contenderPtacs": [{"pf1/co": 500}, {"lmu/da": 70, "pf0/da": 3}],
+  "rta": {"model": "ILP-PTAC", "task": {"periodCycles": 2000000, "priority": 2}}
+}`)
 
 	reg := wcet.DefaultRegistry()
 	f.Fuzz(func(t *testing.T, in string) {
@@ -66,5 +78,36 @@ func FuzzV2Prepare(f *testing.F) {
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("Prepare is nondeterministic:\n first: %+v\nsecond: %+v", first, second)
 		}
+
+		key, err := first.Key(reg)
+		if err != nil {
+			t.Fatalf("Prepare accepted a request Key rejects: %v", err)
+		}
+		if again, err := second.Key(reg); err != nil || again != key {
+			t.Fatalf("Key is nondeterministic: %s then %s (%v)", key, again, err)
+		}
+		perm := req
+		perm.Contenders = reversed(req.Contenders)
+		perm.Templates = reversed(req.Templates)
+		perm.ContenderPTACs = reversed(req.ContenderPTACs)
+		permuted, err := perm.Prepare(reg)
+		if err != nil {
+			t.Fatalf("Prepare rejected a permutation of a request it accepted: %v", err)
+		}
+		if got, err := permuted.Key(reg); err != nil || got != key {
+			t.Fatalf("permuting contenders, templates and contender PTACs changed the key: %s then %s (%v)", key, got, err)
+		}
 	})
+}
+
+// reversed returns a reversed copy of xs.
+func reversed[T any](xs []T) []T {
+	if xs == nil {
+		return nil
+	}
+	out := make([]T, len(xs))
+	for i, x := range xs {
+		out[len(xs)-1-i] = x
+	}
+	return out
 }

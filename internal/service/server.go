@@ -385,10 +385,10 @@ func New(cfg Config, engine *campaign.Engine) *Server {
 		func() float64 { return time.Since(s.started).Seconds() })
 	s.openObservability()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/wcet", s.instrument("v1_wcet", true, s.handleSingle))
+	mux.HandleFunc("/v1/wcet", s.instrument("v1_wcet", true, serveAnalysis[Request](s, tagV1, renderV1)))
 	mux.HandleFunc("/v1/batch", s.instrument("v1_batch", true, s.handleBatch))
 	mux.HandleFunc("/v1/stats", s.instrument("v1_stats", false, s.handleStats))
-	mux.HandleFunc("/v2/analyze", s.instrument("v2_analyze", true, s.handleV2Analyze))
+	mux.HandleFunc("/v2/analyze", s.instrument("v2_analyze", true, serveAnalysis[V2Request](s, tagV2, renderV2)))
 	mux.HandleFunc("/v2/models", s.instrument("v2_models", false, s.handleV2Models))
 	mux.HandleFunc("/v2/tables", s.instrument("v2_tables", false, s.handleTables))
 	mux.HandleFunc("/v2/tables/", s.instrument("v2_tables", false, s.handleTableByRef))
@@ -587,10 +587,9 @@ func (s *Server) computeMiss(ctx context.Context, key string, compute func(conte
 	return f.val, f.err
 }
 
-// evaluateEncoded runs the v1 models under the given table version and
-// freezes the response together with its canonical encoding.
-func (s *Server) evaluateEncoded(ctx context.Context, req Request, table tabstore.ID) (*cached, error) {
-	resp, err := evaluateWith(ctx, s.analyzer, req, string(table))
+// newCached freezes a rendered response together with its canonical
+// encoding — the one shape every cached result has.
+func newCached(resp any, err error) (*cached, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -601,18 +600,34 @@ func (s *Server) evaluateEncoded(ctx context.Context, req Request, table tabstor
 	return &cached{resp: resp, body: body}, nil
 }
 
-// evaluateV2Encoded runs an already-prepared request's selected models and
-// freezes the v2 response with its canonical encoding.
-func (s *Server) evaluateV2Encoded(ctx context.Context, sdkReq wcet.Request) (*cached, error) {
-	resp, err := evaluateV2Prepared(ctx, s.analyzer, sdkReq)
+// lower is the one lowering step of every analysis request: prepare the
+// wire request against the server's registry, pin its latency table to a
+// content address and key the result. The table is a selection (a ref or
+// ID) or else serving, which the caller reads once — per request, or per
+// batch so every cell evaluates under one characterisation. Evaluation and
+// key then agree on the exact table version even if a ref is retargeted
+// or the default promoted mid-flight, so neither can poison the cache. tag
+// names the response version: /v1 and /v2 render the same analysis into
+// different bytes, so it follows the hash in the key (shard routing reads
+// the hash).
+func lower[Q wireRequest](s *Server, req Q, serving tabstore.ID, tag string) (wcet.Request, string, error) {
+	reg := s.analyzer.Registry()
+	sdkReq, err := req.prepare(reg)
 	if err != nil {
-		return nil, err
+		return wcet.Request{}, "", err
 	}
-	body, err := encodeRetained(resp)
+	table := serving
+	if sel := req.tableRef(); sel != "" {
+		if _, table, err = s.store.Resolve(sel); err != nil {
+			return wcet.Request{}, "", err
+		}
+	}
+	sdkReq.TableRef = string(table)
+	key, err := sdkReq.Key(reg)
 	if err != nil {
-		return nil, err
+		return wcet.Request{}, "", err
 	}
-	return &cached{resp: resp, body: body}, nil
+	return sdkReq, key + tag, nil
 }
 
 // requestCtx applies the per-request timeout.
@@ -620,69 +635,36 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }
 
-func (s *Server) handleSingle(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		httpError(w, decodeStatus(err), err)
-		return
-	}
-	if err := req.validate(s.analyzer.Registry()); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Pin the serving table once per request: the result key carries its
-	// content address, so a mid-request promote can neither poison the
-	// cache nor mix tables within one evaluation.
-	table := s.servingID()
-	s.serveCached(w, r, tableKey(canonicalKeyReg(s.analyzer.Registry(), req), table), func(ctx context.Context) (*cached, error) {
-		return s.evaluateEncoded(ctx, req, table)
-	})
-}
+// Response-version tags of the result-cache keys.
+const (
+	tagV1 = "/v1"
+	tagV2 = "/v2"
+)
 
-// tableKey scopes a canonical request key to one table version.
-func tableKey(base string, table tabstore.ID) string {
-	return base + ";tab=" + string(table)
-}
-
-// handleV2Analyze serves the registry-generic analysis endpoint: the
-// caller names any subset of registered models and gets exactly those
-// estimates, through the same admission, caching and singleflight path as
-// /v1.
-func (s *Server) handleV2Analyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req V2Request
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
-		httpError(w, decodeStatus(err), err)
-		return
-	}
-	sdkReq, err := req.Prepare(s.analyzer.Registry())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Resolve the request's table selection (a ref or ID; empty selects
-	// the serving default) to its content address now: evaluation and
-	// cache key then agree on the exact table version even if a ref is
-	// retargeted or the default promoted mid-flight.
-	table := s.servingID()
-	if req.Table != "" {
-		var rerr error
-		if _, table, rerr = s.store.Resolve(req.Table); rerr != nil {
-			httpError(w, http.StatusBadRequest, rerr)
+// serveAnalysis is the one single-request endpoint, /v1/wcet and
+// /v2/analyze alike: strict decode, lowering, then the shared admission,
+// caching and singleflight path. The versions differ only in the wire
+// request type Q and the render step.
+func serveAnalysis[Q wireRequest, R any](s *Server, tag string, render func(*wcet.Result) (R, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 			return
 		}
+		var req Q
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
+			httpError(w, decodeStatus(err), err)
+			return
+		}
+		sdkReq, key, err := lower(s, req, s.servingID(), tag)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.serveCached(w, r, key, func(ctx context.Context) (*cached, error) {
+			return newCached(evaluate(ctx, s.analyzer, sdkReq, render))
+		})
 	}
-	sdkReq.TableRef = string(table)
-	s.serveCached(w, r, tableKey(CanonicalKeyV2(s.analyzer.Registry(), req), table), func(ctx context.Context) (*cached, error) {
-		return s.evaluateV2Encoded(ctx, sdkReq)
-	})
 }
 
 // handleV2Models lists the registry: canonical names plus accepted
@@ -803,11 +785,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer release()
 		ch <- campaign.Batch(ctx, s.engine, batch.Requests, func(ctx context.Context, req Request) (*cached, error) {
-			if err := req.validate(s.analyzer.Registry()); err != nil {
+			sdkReq, key, err := lower(s, req, table, tagV1)
+			if err != nil {
 				return nil, err
 			}
-			return s.lookupOrCompute(ctx, tableKey(canonicalKeyReg(s.analyzer.Registry(), req), table), func(ctx context.Context) (*cached, error) {
-				return s.evaluateEncoded(ctx, req, table)
+			return s.lookupOrCompute(ctx, key, func(ctx context.Context) (*cached, error) {
+				return newCached(evaluate(ctx, s.analyzer, sdkReq, renderV1))
 			})
 		})
 	}()

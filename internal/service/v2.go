@@ -1,11 +1,8 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"repro/internal/dsu"
 	"repro/wcet"
@@ -79,11 +76,33 @@ type V2ModelsResponse struct {
 	Models []V2ModelInfo `json:"models"`
 }
 
-// toSDK maps the v2 wire request onto the SDK facade's request, resolving
-// wire-level encodings (scenario number, stall-mode string, access-path
-// keys). Model names are resolved later by the analyzer so the error
-// lists the serving registry's models.
-func (r V2Request) toSDK() (wcet.Request, error) {
+// parsePTAC decodes a wire PTAC map ("pf0/co" keys) into the SDK form,
+// rejecting negative counts so they fail pre-admission, not in the solver.
+func parsePTAC(m map[string]int64) (wcet.PTAC, error) {
+	out := make(wcet.PTAC, len(m))
+	for k, v := range m {
+		path, err := wcet.ParseAccessPath(k)
+		if err != nil {
+			return nil, err
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("negative count %d for %s", v, k)
+		}
+		out[path] = v
+	}
+	return out, nil
+}
+
+// Prepare validates the wire request and converts it to the SDK form in
+// one pass, so the serving hot path parses templates and PTAC maps exactly
+// once. It rejects before admission: wire-encoding errors (unknown
+// scenario, stall mode, access path, negative PTAC or template counts),
+// impossible readings, unknown model names (listing the registered set),
+// and an rta.model outside the selected model set. Model-specific input
+// requirements (e.g. templatePtac with no templates) are the models' own
+// errors and surface at evaluation time — the service cannot know them
+// for arbitrary registered models.
+func (r V2Request) Prepare(reg *wcet.Registry) (wcet.Request, error) {
 	sc, err := scenario(r.Scenario)
 	if err != nil {
 		return wcet.Request{}, err
@@ -111,11 +130,9 @@ func (r V2Request) toSDK() (wcet.Request, error) {
 		out.Templates = append(out.Templates, wcet.Template{Name: tp.Name, MaxRequests: budgets})
 	}
 	if r.AnalysedPTAC != nil {
-		p, err := parsePTAC(r.AnalysedPTAC)
-		if err != nil {
+		if out.AnalysedPTAC, err = parsePTAC(r.AnalysedPTAC); err != nil {
 			return wcet.Request{}, fmt.Errorf("analysedPtac: %w", err)
 		}
-		out.AnalysedPTAC = p
 	}
 	for i, m := range r.ContenderPTACs {
 		p, err := parsePTAC(m)
@@ -123,50 +140,6 @@ func (r V2Request) toSDK() (wcet.Request, error) {
 			return wcet.Request{}, fmt.Errorf("contenderPtacs[%d]: %w", i, err)
 		}
 		out.ContenderPTACs = append(out.ContenderPTACs, p)
-	}
-	if r.RTA != nil {
-		out.RTA = &wcet.RTASpec{
-			Model:  r.RTA.Model,
-			Task:   toRTATask(r.RTA.Task),
-			Others: make([]wcet.RTATask, len(r.RTA.Others)),
-		}
-		for i, o := range r.RTA.Others {
-			out.RTA.Others[i] = toRTATask(o)
-		}
-	}
-	return out, nil
-}
-
-// parsePTAC decodes a wire PTAC map ("pf0/co" keys) into the SDK form,
-// rejecting negative counts so they fail pre-admission, not in the solver.
-func parsePTAC(m map[string]int64) (wcet.PTAC, error) {
-	out := make(wcet.PTAC, len(m))
-	for k, v := range m {
-		path, err := wcet.ParseAccessPath(k)
-		if err != nil {
-			return nil, err
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("negative count %d for %s", v, k)
-		}
-		out[path] = v
-	}
-	return out, nil
-}
-
-// Prepare validates the wire request and converts it to the SDK form in
-// one pass, so the serving hot path parses templates and PTAC maps exactly
-// once. It rejects before admission: wire-encoding errors (unknown
-// scenario, stall mode, access path, negative PTAC or template counts),
-// unknown model names (listing the registered set), an rta.model outside
-// the selected model set, and impossible readings. Model-specific input
-// requirements (e.g. templatePtac with no templates) are the models' own
-// errors and surface at evaluation time — the service cannot know them
-// for arbitrary registered models.
-func (r V2Request) Prepare(reg *wcet.Registry) (wcet.Request, error) {
-	out, err := r.toSDK()
-	if err != nil {
-		return wcet.Request{}, err
 	}
 	if err := r.Analysed.Validate(); err != nil {
 		return wcet.Request{}, fmt.Errorf("analysed readings: %w", err)
@@ -210,47 +183,28 @@ func (r V2Request) Prepare(reg *wcet.Registry) (wcet.Request, error) {
 		if !selected[canon] {
 			return wcet.Request{}, fmt.Errorf("rta.model %s is not among the requested models", canon)
 		}
-		for i, o := range r.RTA.Others {
-			if o.WCETCycles <= 0 {
-				return wcet.Request{}, fmt.Errorf("rta.others[%d] (%s): wcetCycles must be positive", i, o.Name)
-			}
+		if out.RTA, err = toRTASpec(r.RTA.Model, r.RTA); err != nil {
+			return wcet.Request{}, err
 		}
 	}
 	return out, nil
 }
 
-// Validate rejects malformed v2 requests; see Prepare for the checks.
-func (r V2Request) Validate(reg *wcet.Registry) error {
-	_, err := r.Prepare(reg)
-	return err
-}
+func (r V2Request) prepare(reg *wcet.Registry) (wcet.Request, error) { return r.Prepare(reg) }
+
+func (r V2Request) tableRef() string { return r.Table }
 
 // EvaluateV2 runs the selected models (and the optional RTA step) on one
 // v2 request through an analyzer. Like Evaluate it is a pure function of
-// the request; the daemon calls it per cache miss. A table selection is
-// rejected here: only the daemon carries the store that could resolve it
-// (it resolves Table to a content address before evaluation instead of
-// calling this helper).
+// the request. A table selection is rejected here: only the daemon carries
+// the store that could resolve it.
 func EvaluateV2(an *wcet.Analyzer, req V2Request) (*V2Response, error) {
-	if req.Table != "" {
-		return nil, fmt.Errorf(`"table" selection requires the daemon's table store (POST the request to wcetd's /v2/analyze)`)
-	}
-	sdkReq, err := req.Prepare(an.Registry())
-	if err != nil {
-		return nil, err
-	}
-	return evaluateV2Prepared(context.Background(), an, sdkReq)
+	return evaluateWire(an, req, renderV2)
 }
 
-// evaluateV2Prepared runs an already-validated, already-converted request —
-// the daemon's miss path, where Prepare ran before admission. ctx carries
-// trace spans only; cancellation is stripped so the evaluation completes
-// for any singleflight followers.
-func evaluateV2Prepared(ctx context.Context, an *wcet.Analyzer, sdkReq wcet.Request) (*V2Response, error) {
-	res, err := an.Analyze(context.WithoutCancel(ctx), sdkReq)
-	if err != nil {
-		return nil, err
-	}
+// renderV2 renders a result in the v2 wire form: the selected models'
+// estimates in request order.
+func renderV2(res *wcet.Result) (*V2Response, error) {
 	out := &V2Response{Estimates: make([]V2Estimate, len(res.Estimates))}
 	for i, e := range res.Estimates {
 		out.Estimates[i] = V2Estimate{
@@ -268,61 +222,10 @@ func evaluateV2Prepared(ctx context.Context, an *wcet.Analyzer, sdkReq wcet.Requ
 	return out, nil
 }
 
-// CanonicalKeyV2 content-addresses a v2 request for the server's result
-// cache. It builds on the v1 canonicalization (normalized defaults,
-// contender order canonicalized) and extends it with the selected model
-// list (order kept — it is the response order), templates and PTACs.
-// Model names — the selected list and rta.model alike — are canonicalized
-// against the registry so alias spellings of the same request share an
-// entry; template and contender-PTAC order is canonicalized like the
-// contender set (every model is permutation-invariant in them).
+// CanonicalKeyV2 is the result-cache key of a v2 request, names resolved
+// through reg; see CanonicalKey. It is "" for a request Prepare rejects.
 func CanonicalKeyV2(reg *wcet.Registry, req V2Request) string {
-	base := canonicalKeyReg(reg, Request{
-		Scenario:          req.Scenario,
-		Analysed:          req.Analysed,
-		Contenders:        req.Contenders,
-		StallMode:         req.StallMode,
-		DropContenderInfo: req.DropContenderInfo,
-		RTA:               req.RTA,
-	})
-
-	models := req.Models
-	if len(models) == 0 {
-		models = v1Models[:]
-	}
-	canon := make([]string, len(models))
-	for i, m := range models {
-		c, err := reg.Canonical(m)
-		if err != nil {
-			// Unknown names never reach the cache (Validate rejects them
-			// first); keep the raw spelling so the key stays total.
-			c = m
-		}
-		canon[i] = c
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "v2;%s;models=%s", base, strings.Join(canon, ","))
-	tps := make([]string, len(req.Templates))
-	for i, tp := range req.Templates {
-		tps[i] = fmt.Sprintf("%q:%s", tp.Name, canonWirePTAC(tp.MaxRequests))
-	}
-	sort.Strings(tps)
-	for _, tp := range tps {
-		fmt.Fprintf(&b, ";tp=%s", tp)
-	}
-	if req.AnalysedPTAC != nil {
-		fmt.Fprintf(&b, ";pa=%s", canonWirePTAC(req.AnalysedPTAC))
-	}
-	pbs := make([]string, len(req.ContenderPTACs))
-	for i, p := range req.ContenderPTACs {
-		pbs[i] = canonWirePTAC(p)
-	}
-	sort.Strings(pbs)
-	for _, p := range pbs {
-		fmt.Fprintf(&b, ";pb=%s", p)
-	}
-	return hashKey(b.String())
+	return wireKey(reg, req, tagV2)
 }
 
 // DecodeV2Request reads one JSON v2 request with the service's strict
@@ -338,28 +241,13 @@ func DecodeV2Request(r io.Reader) (V2Request, error) {
 // RunCLIV2 is cmd/wcet's -models behaviour: decode one v2-shaped request,
 // override its model selection with the flag's list when one was given,
 // evaluate through the default analyzer and write the v2 response — the
-// same three calls wcetd's /v2/analyze serves, so CLI and daemon emit
+// same steps wcetd's /v2/analyze serves, so CLI and daemon emit
 // byte-identical JSON in v2 mode too.
 func RunCLIV2(in io.Reader, out io.Writer, models []string) error {
-	req, err := DecodeV2Request(in)
-	if err != nil {
-		return err
-	}
-	if len(models) > 0 {
-		req.Models = models
-	}
-	resp, err := EvaluateV2(defaultAnalyzer, req)
-	if err != nil {
-		return err
-	}
-	return EncodeJSON(out, resp)
-}
-
-func canonWirePTAC(m map[string]int64) string {
-	parts := make([]string, 0, len(m))
-	for k, v := range m {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, v))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	return runCLI(in, out, func(req V2Request) (*V2Response, error) {
+		if len(models) > 0 {
+			req.Models = models
+		}
+		return EvaluateV2(defaultAnalyzer, req)
+	})
 }

@@ -242,18 +242,19 @@ func TestCanonicalKeyV2Invariance(t *testing.T) {
 	}
 
 	// Custom-registry aliases collapse too when the server's registry is
-	// threaded through (canonicalKeyReg), not just the default set.
+	// threaded through, not just the default set.
 	creg := wcet.NewRegistry()
 	if err := creg.Register(wcet.NewModel("toy", func(_ context.Context, in wcet.Input) (wcet.Estimate, error) {
 		return wcet.Estimate{Model: "toy"}, nil
 	}), "speedy"); err != nil {
 		t.Fatal(err)
 	}
-	c1 := v1
-	c1.RTA = &RTARequest{Model: "speedy", Task: v1.RTA.Task}
-	c2 := v1
+	c1 := V2Request{Scenario: 1, Models: []string{"speedy"}, Analysed: base.Analysed,
+		RTA: &RTARequest{Model: "speedy", Task: v1.RTA.Task}}
+	c2 := c1
+	c2.Models = []string{"toy"}
 	c2.RTA = &RTARequest{Model: "toy", Task: v1.RTA.Task}
-	if canonicalKeyReg(creg, c1) != canonicalKeyReg(creg, c2) {
+	if k1, k2 := CanonicalKeyV2(creg, c1), CanonicalKeyV2(creg, c2); k1 == "" || k1 != k2 {
 		t.Error("custom-registry alias spellings produced different cache keys")
 	}
 
@@ -446,5 +447,76 @@ func TestV2NewModelZeroEdits(t *testing.T) {
 	}
 	if v1out.FTC.Model != "fTC" || v1out.ILP.Model != "ILP-PTAC" {
 		t.Errorf("/v1 drifted on a custom-registry server: %+v", v1out)
+	}
+}
+
+// TestResponseVersionsCachedApart pins the response-version tag of the
+// cache key: the same analysis sent to /v1/wcet and to /v2/analyze (default
+// models) lowers to one wcet.Request, yet the two render it into different
+// bytes, so each gets its own entry — two misses, and v2-shaped bytes from
+// /v2. A /v1/batch item of the same content shares /v1/wcet's entry.
+func TestResponseVersionsCachedApart(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	body := []byte(`{"scenario": 1, ` + v2Analysed + `}`)
+
+	status, v1Body := post(t, ts.URL+"/v1/wcet", body)
+	if status != http.StatusOK {
+		t.Fatalf("/v1/wcet: status %d: %s", status, v1Body)
+	}
+	status, v2Body := post(t, ts.URL+"/v2/analyze", body)
+	if status != http.StatusOK {
+		t.Fatalf("/v2/analyze: status %d: %s", status, v2Body)
+	}
+	if st := srv.StatsSnapshot().Cache; st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("v1 then v2 of one analysis: %+v, want 2 misses and no hit", st)
+	}
+
+	req, err := DecodeV2Request(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EvaluateV2(wcet.MustNewAnalyzer(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBody bytes.Buffer
+	if err := EncodeJSON(&wantBody, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v2Body, wantBody.Bytes()) {
+		t.Errorf("/v2/analyze served\n%s\nwant the v2 rendering\n%s", v2Body, wantBody.Bytes())
+	}
+	if bytes.Equal(v1Body, v2Body) {
+		t.Error("/v1 and /v2 served the same bytes; the renderings should differ")
+	}
+
+	// Repeats of each version hit their own entry, byte for byte.
+	for _, c := range []struct {
+		path string
+		want []byte
+	}{{"/v1/wcet", v1Body}, {"/v2/analyze", v2Body}} {
+		if _, got := post(t, ts.URL+c.path, body); !bytes.Equal(got, c.want) {
+			t.Errorf("%s repeat served\n%s\nwant\n%s", c.path, got, c.want)
+		}
+	}
+
+	batch := []byte(`{"requests": [` + string(body) + `]}`)
+	status, batchBody := post(t, ts.URL+"/v1/batch", batch)
+	if status != http.StatusOK {
+		t.Fatalf("/v1/batch: status %d: %s", status, batchBody)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(batchBody, &br); err != nil {
+		t.Fatal(err)
+	}
+	var single Response
+	if err := json.Unmarshal(v1Body, &single); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 1 || br.Results[0].Response == nil || *br.Results[0].Response != single {
+		t.Errorf("batch item %+v differs from the /v1/wcet response %+v", br.Results, single)
+	}
+	if st := srv.StatsSnapshot().Cache; st.Misses != 2 || st.Hits != 3 {
+		t.Errorf("after the repeats and the batch: %+v, want 2 misses and 3 hits (the batch item shares /v1's entry)", st)
 	}
 }

@@ -64,22 +64,10 @@ func (id ID) Valid() bool {
 	return true
 }
 
-// CanonicalEncoding renders a table in the store's canonical form: every
-// legal access path in platform.AccessPairs order as "path:max/min/stall;".
-// Two tables have equal encodings iff every model-visible figure is equal,
-// so the SHA-256 of this string is a sound content address.
-func CanonicalEncoding(lt platform.LatencyTable) string {
-	var b strings.Builder
-	for _, to := range platform.AccessPairs() {
-		l := lt[to.Target][to.Op]
-		fmt.Fprintf(&b, "%s:%d/%d/%d;", to, l.Max, l.Min, l.Stall)
-	}
-	return b.String()
-}
-
-// TableID computes the content address of a table.
+// TableID computes the content address of a table: the SHA-256 of its
+// canonical rendering (platform.LatencyTable.Canonical).
 func TableID(lt platform.LatencyTable) ID {
-	sum := sha256.Sum256([]byte(CanonicalEncoding(lt)))
+	sum := sha256.Sum256([]byte(lt.Canonical()))
 	return ID(hex.EncodeToString(sum[:]))
 }
 

@@ -394,17 +394,7 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, sem chan struct{}) 
 		}
 		lat = &resolved
 	}
-	in := Input{
-		Analysed:          req.Analysed,
-		Contenders:        req.Contenders,
-		Templates:         req.Templates,
-		AnalysedPTAC:      req.AnalysedPTAC,
-		ContenderPTACs:    req.ContenderPTACs,
-		Latencies:         lat,
-		Scenario:          sc,
-		StallMode:         req.StallMode,
-		DropContenderInfo: req.DropContenderInfo,
-	}
+	in := req.input(lat, sc)
 	_, vspan := telemetry.StartSpan(ctx, "validate")
 	err := in.Validate()
 	vspan.End()
@@ -427,6 +417,22 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, sem chan struct{}) 
 		res.RTA = verdict
 	}
 	return res, nil
+}
+
+// input is the model input the request describes under the given table
+// and scenario.
+func (r Request) input(lat *LatencyTable, sc Scenario) Input {
+	return Input{
+		Analysed:          r.Analysed,
+		Contenders:        r.Contenders,
+		Templates:         r.Templates,
+		AnalysedPTAC:      r.AnalysedPTAC,
+		ContenderPTACs:    r.ContenderPTACs,
+		Latencies:         lat,
+		Scenario:          sc,
+		StallMode:         r.StallMode,
+		DropContenderInfo: r.DropContenderInfo,
+	}
 }
 
 // scenarioIsZero reports whether a request carries no scenario override:

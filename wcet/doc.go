@@ -31,6 +31,13 @@
 // once, and [Analyzer.Analyze] then composes validation, model fan-out
 // and an optional response-time-analysis verdict in one call.
 //
+// [Request.Key] content-addresses a request for result caches: alias
+// spellings, contender order and other equivalent forms collapse to one
+// key, and every field that can change the Result changes it (a
+// reflection test enforces that for fields added later). It is the only
+// request key in the repository: wcetd's /v1, /v2 and batch caches all
+// key on it, and the Analyzer's estimate cache shares its renderers.
+//
 // A [TableStore] makes the platform characterisation itself versioned:
 // [WithTableStore] attaches a store of content-addressed latency tables
 // (internal/tabstore is the shipped implementation), and Request.TableRef
